@@ -145,8 +145,7 @@ func (e *Engine) acquireStep(t *Ctx, now uint64) (nextCycle uint64, status int) 
 				t.parkPollCost = cost.DirectLoad
 				t.parkPolls = 0
 				t.parkEval = true
-				t.parked = true
-				e.nParked++
+				e.park(t)
 				return 0, acqParked
 			}
 			cas = true

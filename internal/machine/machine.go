@@ -8,7 +8,7 @@
 // thread runs exclusively until it calls Tick, at which point control
 // switches back to the engine's event loop, which always resumes the
 // runnable thread with the smallest virtual clock (ties broken by thread
-// id) by popping a (wakeup-cycle, thread-id) event from a min-heap.
+// id) by popping a (wakeup-cycle, thread-id) event from a calendar queue.
 // Because exactly one thread executes between two scheduling points, all
 // simulator state can be manipulated without synchronization, and whole
 // runs are reproducible bit-for-bit for a fixed seed.
@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math/bits"
 
 	"seer/internal/topology"
 )
@@ -181,7 +182,7 @@ type Ctx struct {
 	// clock < batchLimit the thread is by construction conflict-free —
 	// no other thread has a queued event ordered before it, so nothing
 	// can doom it, observe it, or be observed by it — and Tick advances
-	// through any number of quanta with a single comparison and no heap
+	// through any number of quanta with a single comparison and no queue
 	// interaction. The engine recomputes it from (queue min, MaxCycles)
 	// before every resume, and WakeKey refreshes it when the running
 	// thread re-inserts waiters (see Engine.horizonFor for the exact
@@ -265,7 +266,7 @@ func (c *Ctx) Cost() *CostModel { return &c.eng.cfg.Cost }
 // run. In that case Tick performs the engine's per-step work itself (the
 // tick hook with exactly the cycle the popped event would have carried)
 // and returns without suspending, so a conflict-free context advances
-// through arbitrarily many poll quanta per heap interaction at the cost
+// through arbitrarily many poll quanta per queue interaction at the cost
 // of one comparison each. The horizon encodes both the queue minimum
 // with the (cycle, id) tie-break and the MaxCycles livelock bound (a
 // clock past MaxCycles always takes the yield so the engine loop can
@@ -298,14 +299,14 @@ func (c *Ctx) Advance(cost uint64) { c.clock += cost }
 //	for { Tick(period - pollCost); Tick(pollCost); if free { break } }
 //
 // and must be called right after a poll (a Tick(pollCost) plus load) that
-// observed the key busy. The thread is removed from the event heap; a
+// observed the key busy. The thread is removed from the event queue; a
 // subsequent WakeKey computes the first poll boundary
 //
 //	b = Clock() + k·period  (minimal k ≥ 1 scheduled after the waker)
 //
 // and re-inserts the thread there with Clock() = b - pollCost, so the
 // caller's loop re-executes its polling Tick(pollCost) and observes the
-// key at exactly the cycle — and in exactly the heap order — the spin
+// key at exactly the cycle — and in exactly the queue order — the spin
 // loop would have. Virtual-time cost accounting is unchanged: the skipped
 // cycles are added in one jump instead of period-sized steps.
 //
@@ -362,21 +363,25 @@ func (c *Ctx) parkOn(key, period, pollCost uint64, maxPolls int) {
 // poll boundary ordered after the caller's current position in the
 // schedule. The caller is conceptually the thread whose store made the
 // key available (a lock release); waiters whose poll would land at the
-// caller's exact cycle keep the (cycle, id) tie-break of the event heap.
-// With no parked threads the call is one integer compare.
+// caller's exact cycle keep the (cycle, id) tie-break of the event queue.
+// With no parked threads the call is one integer compare; otherwise it
+// visits only the parked ids, in ascending order.
 func (c *Ctx) WakeKey(key uint64) {
 	e := c.eng
 	if e.nParked == 0 {
 		return
 	}
-	for _, t := range e.threads {
-		if !t.parked || t.pollPending || t.parkKey != key {
-			// A pollPending thread already has its wake's poll event
-			// queued; per-tick it would be runnable here, so a second
-			// release must not reschedule it.
-			continue
+	for w := range e.parkedIDs.W {
+		for m := e.parkedIDs.W[w]; m != 0; m &= m - 1 {
+			t := e.threads[w<<6+bits.TrailingZeros64(m)]
+			if t.pollPending || t.parkKey != key {
+				// A pollPending thread already has its wake's poll event
+				// queued; per-tick it would be runnable here, so a second
+				// release must not reschedule it.
+				continue
+			}
+			e.wake(t, c.clock, int32(c.id))
 		}
-		e.wake(t, c.clock, int32(c.id))
 	}
 	// The re-inserted waiters may now own the queue minimum: shrink the
 	// caller's batch horizon so its next Tick yields at the right cycle.
@@ -416,8 +421,7 @@ func (e *Engine) wake(t *Ctx, now uint64, wakerID int32) {
 		}
 		return
 	}
-	t.parked = false
-	e.nParked--
+	e.unpark(t)
 	if t.parkPolls > 0 {
 		// The bounded waiter's deadline event is queued at ≥ b (the
 		// deadline is itself a boundary ordered after the waker, and b is
@@ -442,7 +446,7 @@ func (c *Ctx) Work(n uint64) {
 }
 
 // Engine owns the hardware threads and drives the min-clock cooperative
-// schedule from a wakeup-event heap.
+// schedule from a wakeup-event queue.
 type Engine struct {
 	cfg     Config
 	threads []*Ctx
@@ -454,10 +458,12 @@ type Engine struct {
 	// scheduling step, before the next thread is resumed. The telemetry
 	// recorder uses it to cut interval snapshots deterministically.
 	tickHook func(now uint64)
-	// nParked counts threads currently suspended in ParkOn. It gates
-	// WakeKey's scan and distinguishes "all done" from "all deadlocked"
-	// when the event heap runs dry.
-	nParked int
+	// nParked counts threads currently suspended in ParkOn, and parkedIDs
+	// holds their ids (see park/unpark). nParked gates WakeKey's walk over
+	// parkedIDs and distinguishes "all done" from "all deadlocked" when
+	// the event queue runs dry.
+	nParked   int
+	parkedIDs topology.Set
 	// pollEval, when set, reports whether the word a ParkOnWord waiter is
 	// parked on is still busy; the event loop uses it to evaluate wake-time
 	// polls without resuming the waiter's coroutine. It must be a pure read
@@ -484,6 +490,20 @@ type Engine struct {
 	// between resumes. It lets SpecBarrier reach the speculating thread
 	// from hooks (mem.Memory.Peek) that have no Ctx in hand.
 	running *Ctx
+}
+
+// park records that t has just been parked.
+func (e *Engine) park(t *Ctx) {
+	t.parked = true
+	e.nParked++
+	e.parkedIDs.Add(t.id)
+}
+
+// unpark records that t has left its park.
+func (e *Engine) unpark(t *Ctx) {
+	t.parked = false
+	e.nParked--
+	e.parkedIDs.Remove(t.id)
 }
 
 // horizonFor returns the tick-batch horizon for thread id: the first
@@ -597,6 +617,7 @@ func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 	}
 	e.queue.clear()
 	e.nParked = 0
+	e.parkedIDs.Clear()
 	for i, body := range bodies {
 		if body == nil {
 			continue
@@ -655,8 +676,7 @@ func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 				// and its doom semantics on a free word — executes in the
 				// context itself. Its clock already sits at the poll's
 				// tick start, courtesy of the wake.
-				t.parked = false
-				e.nParked--
+				e.unpark(t)
 				if t.acq {
 					// A delegated acquire's wake: fire the poll tick's
 					// hook (the resumed coroutine's Tick would) and run
@@ -679,8 +699,7 @@ func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 				// the deadline cycle.
 				t.parkSkipped += (ev.cycle - t.parkPollCost) - t.clock
 				t.clock = ev.cycle - t.parkPollCost
-				t.parked = false
-				e.nParked--
+				e.unpark(t)
 			}
 			if runAcq {
 				nc, status := e.acquireStep(t, ev.cycle)
@@ -747,7 +766,7 @@ func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 				// until WakeKey re-inserts it. A bounded park keeps a
 				// deadline event queued so the wait cannot outlive its
 				// poll budget.
-				e.nParked++
+				e.park(t)
 				if t.parkPolls > 0 {
 					e.queue.push(event{cycle: t.parkDeadline, id: ev.id})
 				}
@@ -773,15 +792,15 @@ func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 			nev := event{cycle: clock, id: ev.id}
 			if e.queue.empty() || nev.before(e.queue.min) {
 				// The yielded thread is still the earliest runnable one:
-				// resume it directly, no heap traffic. (With MaxCycles
+				// resume it directly, no queue traffic. (With MaxCycles
 				// unset the thread-side Tick fast path already covers
-				// this; the heap check above is what delivers livelock
+				// this; the queue check above is what delivers livelock
 				// verdicts when it is set.)
 				ev = nev
 				continue
 			}
 			// Common yield: the new wakeup goes in as the old minimum
-			// comes out, one sift instead of push + pop.
+			// comes out, one queue operation instead of push + pop.
 			ev = e.queue.replaceMin(nev)
 		}
 	}
@@ -836,6 +855,7 @@ func (e *Engine) drain(bodies []func(*Ctx)) {
 	}
 	e.queue.clear()
 	e.nParked = 0
+	e.parkedIDs.Clear()
 }
 
 // mix combines a seed and a thread id into a well-spread 64-bit PRNG seed

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"seer/internal/topology"
@@ -286,6 +287,39 @@ func TestWakeKeyIsSelective(t *testing.T) {
 	// Thread 1 stays parked forever once the others finish.
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock for the unwoken key", err)
+	}
+}
+
+// TestWakeKeyWide: with parked ids spread over every word of the
+// engine's parked set, WakeKey wakes exactly the threads parked on its
+// key, and they resume in ascending id order.
+func TestWakeKeyWide(t *testing.T) {
+	const n = MaxHWThreads
+	eng := parkEngine(t, n)
+	var woken []int
+	bodies := make([]func(*Ctx), n)
+	for i := 0; i < n-1; i++ {
+		key := uint64(i % 3)
+		bodies[i] = func(c *Ctx) {
+			c.Tick(tpPollCost)
+			c.ParkOn(key, tpPeriod, tpPollCost, 0)
+			woken = append(woken, c.ID())
+		}
+	}
+	bodies[n-1] = func(c *Ctx) {
+		c.Tick(100)
+		c.WakeKey(1)
+	}
+	// The threads parked on keys 0 and 2 stay parked forever.
+	if _, err := eng.Run(bodies); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("err = %v, want ErrDeadlock for the unwoken keys", err)
+	}
+	var want []int
+	for i := 1; i < n-1; i += 3 {
+		want = append(want, i)
+	}
+	if !slices.Equal(woken, want) {
+		t.Fatalf("woken = %v, want %v", woken, want)
 	}
 }
 
